@@ -86,7 +86,7 @@ type Cache struct {
 func (c *Cache) markSet(set uint64) {
 	if c.track && !c.dirty[set] {
 		c.dirty[set] = true
-		c.dirtyList = append(c.dirtyList, uint32(set))
+		c.dirtyList = append(c.dirtyList, uint32(set)) //lint:allow hotpathalloc -- the dirty bit admits each set once, so the list is bounded by the set count; syncs truncate it and keep the backing array
 	}
 }
 

@@ -132,6 +132,18 @@ type Core struct {
 	halted bool
 	reqID  uint64
 
+	// inQHold caches that the InQ head is a message not due before
+	// inQHoldTS, observed under the queue's restore generation inQHoldGen.
+	// Only this core pops its InQ, so until local time reaches inQHoldTS
+	// (or a Restore bumps the generation) the head cannot change and
+	// processInQ skips the locked poll. Zero means no hold. Not part of
+	// the core's state: every restore clears it.
+	inQHoldTS  int64
+	inQHoldGen uint64
+	// inQDue is msgDue bound once at construction, so the per-tick poll
+	// passes a predicate without building a closure.
+	inQDue func(event.Msg) bool
+
 	// rec, when set, receives the in-order architectural retire stream
 	// (see recorder.go). Nil outside recording runs: one predictable
 	// branch on the retire path.
@@ -192,6 +204,7 @@ func New(cfg Config, prog *isa.Program, m *mem.Memory, sc *syncctl.Controller,
 	for i := range c.mapTable {
 		c.mapTable[i] = -1
 	}
+	c.inQDue = c.msgDue
 	return c, nil
 }
 
@@ -237,6 +250,7 @@ func (c *Core) Reset(prog *isa.Program) error {
 	c.serializeSeq = -1
 	c.halted = false
 	c.reqID = 0
+	c.inQHoldTS = 0
 	c.rec = nil
 	c.stats = Stats{}
 	return nil
@@ -253,6 +267,10 @@ func (c *Core) Halted() bool { return c.halted }
 
 // Stats returns a copy of the core's counters.
 func (c *Core) Stats() Stats { return c.stats }
+
+// Committed returns the committed instruction count without copying the
+// whole Stats block (pacing loops read it every step).
+func (c *Core) Committed() uint64 { return c.stats.Committed }
 
 // L1I and L1D expose the caches for stats and tests.
 func (c *Core) L1I() *cache.Cache { return c.l1i }

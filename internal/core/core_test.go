@@ -394,3 +394,43 @@ func replyFor(req event.Request, latency int64) event.Msg {
 		TS:       req.TS + latency,
 	}
 }
+
+// TestInQHoldInvalidatedByRestore pins the InQ hold's escape hatch: once
+// the core has seen a head message not due until t+50 it skips polling
+// the queue, but a Queue.Restore (rollback, pool reset, resume) may
+// replace that head with one due sooner. The restore bumps the queue's
+// generation, so a reply injected with TS t+1 must be applied when local
+// time reaches t+1, not when the stale hold expires at t+50.
+func TestInQHoldInvalidatedByRestore(t *testing.T) {
+	h := newHarness(t, func(b *isa.Builder) {
+		b.Li(3, 1)
+		b.Halt()
+	})
+	c := h.core
+	c.Tick() // the first fetch misses in the L1I
+	req, ok := h.outQ.Pop()
+	if !ok {
+		t.Fatal("no fetch request after the first tick")
+	}
+	tm := c.Now()
+	h.inQ.Push(event.Msg{Kind: event.MsgInval, LineAddr: req.LineAddr + 1, NewState: coherence.Invalid, TS: tm + 50})
+	c.Tick() // polls at t: the head is not due, so the core holds until t+50
+	if h.inQ.Len() != 1 {
+		t.Fatalf("head due at t+50 was consumed at t")
+	}
+	reply := event.Msg{
+		Kind:     event.MsgReply,
+		ReqID:    req.ID,
+		LineAddr: req.LineAddr,
+		NewState: coherence.GrantState(req.Kind, false),
+		TS:       tm + 1,
+	}
+	h.inQ.Restore([]event.Msg{reply})
+	c.Tick() // polls at t+1
+	if h.inQ.Len() != 0 {
+		t.Fatalf("reply due at t+1 still queued at t+%d: the stale hold survived Restore", c.Now()-tm)
+	}
+	if !c.L1I().State(req.LineAddr).Valid() {
+		t.Fatalf("reply consumed but the fetched line is not in the L1I")
+	}
+}

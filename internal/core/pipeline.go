@@ -31,10 +31,17 @@ func (c *Core) Tick() {
 
 // processInQ consumes manager messages whose effect time has been reached,
 // per the paper's InQ protocol (a core reads an entry out when its local
-// time reaches the entry's timestamp).
+// time reaches the entry's timestamp). A head seen not yet due is held
+// (see Core.inQHoldTS): until local time reaches its timestamp nothing
+// behind it can be consumed either, so the locked poll is skipped.
+//
+//slacksim:hotpath
 func (c *Core) processInQ() {
+	if c.now < c.inQHoldTS && c.inQ.Gen() == c.inQHoldGen {
+		return
+	}
 	for {
-		msg, ok := c.inQ.PopIf(func(m event.Msg) bool { return m.TS <= c.now })
+		msg, ok := c.inQ.PopIf(c.inQDue)
 		if !ok {
 			return
 		}
@@ -45,6 +52,18 @@ func (c *Core) processInQ() {
 			c.applySnoop(msg)
 		}
 	}
+}
+
+// msgDue is the InQ pop predicate: a message is consumed once local time
+// reaches its timestamp. Rejecting the head starts a hold on it; the
+// predicate runs under the queue lock, so the generation read here is the
+// one the head belongs to.
+func (c *Core) msgDue(m event.Msg) bool {
+	if m.TS <= c.now {
+		return true
+	}
+	c.inQHoldTS, c.inQHoldGen = m.TS, c.inQ.Gen()
+	return false
 }
 
 func (c *Core) applyReply(msg event.Msg) {

@@ -109,6 +109,7 @@ func (c *Core) restoreScalars(s *Snapshot) {
 	c.halted = s.halted
 	c.reqID = s.reqID
 	c.stats = s.stats
+	c.inQHoldTS = 0
 
 	for _, e := range c.robs() {
 		c.freeEntry(e)

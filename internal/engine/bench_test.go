@@ -51,3 +51,50 @@ func BenchmarkCheckpointRestore(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDetStep measures the deterministic host's cost per simulated
+// core-cycle on two pinned specs: a speculative run (barnes at scale 2,
+// bounded slack 16, checkpoints every 500 cycles, rollback) and the
+// cycle-by-cycle gold standard (fft). ns/core-cycle is host time per
+// ticked core-cycle, wasted and replayed cycles included; steps/core-cycle
+// is pacing steps (one picked core, one chunk) per core-cycle — CC takes a
+// step per cycle, slack modes amortize a step over a chunk. Together they
+// show whether the time goes into ticking cores or into the pacing
+// bookkeeping around each tick.
+func BenchmarkDetStep(b *testing.B) {
+	for _, tc := range []struct {
+		name     string
+		workload string
+		scale    int
+		cfg      RunConfig
+	}{
+		{"barnes-x2/s16/ckpt500/rollback", "barnes", 2,
+			RunConfig{Scheme: BoundedSlack(16), Seed: 1, CheckpointInterval: 500, Rollback: true}},
+		{"fft/cc", "fft", 1, RunConfig{Scheme: CycleByCycle(), Seed: 1}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var cycles, steps int64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				w, err := workload.ByName(tc.workload, tc.scale)
+				if err != nil {
+					b.Fatal(err)
+				}
+				m, err := NewMachine(MachineConfig{NumCores: 8}, w)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				r, _, err := run(m, tc.cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cycles += r.meter.coreCycles
+				steps += r.steps
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/core-cycle")
+			b.ReportMetric(float64(steps)/float64(cycles), "steps/core-cycle")
+		})
+	}
+}

@@ -204,4 +204,5 @@ func (r *detRun) doRollback() {
 	// Replay in cycle-by-cycle mode until the boundary we were heading
 	// for; the new checkpoint there resumes slack simulation.
 	r.replayUntil = r.nextCkpt
+	r.resync()
 }

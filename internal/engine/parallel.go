@@ -43,6 +43,12 @@ type p2pState struct {
 //     atomics; maxLocal[i] is written only by the manager (and once at
 //     startup before the core goroutines exist) and read by core i.
 //     All are Go atomics, which are sequentially consistent.
+//   - Publication order keeps CC cycle-identical to the deterministic
+//     host: a halting core stores retired[i] before its final
+//     localTime[i], and recomputeGlobal loads localTime[i] before
+//     retired[i], so a halting tick's clock never reaches global; the
+//     manager reads the clocks before draining the out-queues, so every
+//     request issued below the global time it serves against is drained.
 //   - stop is sticky: it transitions false→true exactly once.
 //   - A publication (any write that can unpark a core: raising
 //     maxLocal[i], or setting stop) is: store the state atomically, bump
@@ -250,7 +256,7 @@ func RunParallel(m *Machine, cfg RunConfig) (Results, error) {
 		serr.attachTrace(cfg.Tracer)
 		return Results{}, serr
 	}
-	if cfg.interrupted() {
+	if r.interruptedNow() {
 		// The interrupt raced the natural end of the run; either way the
 		// caller asked for cancellation, so the outcome is ErrInterrupted.
 		return Results{}, ErrInterrupted
@@ -405,15 +411,20 @@ func (r *parRun) coreLoop(i int) {
 		if c.Now() < r.maxLocal[i].Load() {
 			before := r.m.outQs[i].Len()
 			c.Tick()
-			r.localTime[i].Store(c.Now())
-			r.committed[i].Store(c.Stats().Committed)
-			if r.m.outQs[i].Len() > before {
-				r.kickManager()
-			}
 			if c.Halted() {
+				// Retire before publishing the halting tick's clock: the
+				// manager must never fold a retired core's final time into
+				// global, as the deterministic host never does.
+				r.committed[i].Store(c.Committed())
 				r.retired[i].Store(true)
+				r.localTime[i].Store(c.Now())
 				r.kickManager()
 				return
+			}
+			r.localTime[i].Store(c.Now())
+			r.committed[i].Store(c.Committed())
+			if r.m.outQs[i].Len() > before {
+				r.kickManager()
 			}
 			continue
 		}
@@ -465,8 +476,14 @@ func (r *parRun) managerLoop() {
 			return
 		}
 		for {
-			r.drainAll()
+			// Read the clocks before draining: every request issued below
+			// the global time read here is already in its out-queue (a
+			// core pushes during its tick and publishes its clock after),
+			// so conservative service sees the complete set below global.
+			// Draining first would let a tick land in between and raise
+			// global past a request not yet drained.
 			r.recomputeGlobal()
+			r.drainAll()
 			r.service()
 			r.adapt()
 			r.prog.maybe(r.global, r.committedNow(), r.progress())
@@ -540,13 +557,19 @@ func (r *parRun) doneNow() bool {
 	return true
 }
 
+// recomputeGlobal sets global to the minimum clock of the active cores.
+// Each clock is loaded before its retired flag: a halting core stores
+// retired before its final clock (see coreLoop), so a final clock seen
+// here always comes with retired already true and is skipped. Testing
+// retired first would leave a window in which the core retires and
+// publishes its halting tick between the two loads.
 func (r *parRun) recomputeGlobal() {
 	min := int64(-1)
 	for i := range r.localTime {
+		t := r.localTime[i].Load()
 		if r.retired[i].Load() {
 			continue
 		}
-		t := r.localTime[i].Load()
 		if min < 0 || t < min {
 			min = t
 		}

@@ -81,15 +81,10 @@ func (r *detRun) progressCounter() uint64 {
 	var p uint64
 	for i, c := range r.m.cores {
 		p += uint64(c.Now())
-		p += c.Stats().Committed
+		p += c.Committed()
 		if r.retired[i] {
 			p++
 		}
 	}
 	return p
-}
-
-// interrupted reports whether the external interrupt flag is raised.
-func (cfg RunConfig) interrupted() bool {
-	return cfg.Interrupt != nil && cfg.Interrupt.Load()
 }

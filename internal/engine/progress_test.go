@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -170,5 +171,42 @@ func TestInterruptParallel(t *testing.T) {
 		}
 	case <-time.After(20 * time.Second):
 		t.Fatalf("interrupted parallel run did not stop")
+	}
+}
+
+// TestProgressHookInvariance pins that observing a run does not change
+// it: the same deterministic run with OnProgress set and with it nil must
+// give identical Results and draw the same number of values from the
+// scheduling rng (the step skips the progress arguments when no hook is
+// installed, and must not skip anything else).
+func TestProgressHookInvariance(t *testing.T) {
+	for _, cfg := range []RunConfig{
+		{Scheme: BoundedSlack(16), Seed: 3, CheckpointInterval: 500, Rollback: true},
+		{Scheme: CycleByCycle(), Seed: 3},
+		{Scheme: LaxP2PScheme(50, 20), Seed: 3, CheckpointInterval: 500},
+	} {
+		t.Run(cfg.Scheme.Name(), func(t *testing.T) {
+			plain, plainRes, err := run(newTestMachine(t, workload.NewBarnes(32, 2), 4), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fired := 0
+			cfg.OnProgress = func(Progress) { fired++ }
+			cfg.ProgressEvery = 64
+			hooked, hookedRes, err := run(newTestMachine(t, workload.NewBarnes(32, 2), 4), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fired == 0 {
+				t.Fatal("progress hook never fired")
+			}
+			plainRes.WallClock, hookedRes.WallClock = 0, 0
+			if !reflect.DeepEqual(plainRes, hookedRes) {
+				t.Errorf("Results differ with a progress hook:\n nil  %+v\n hook %+v", plainRes, hookedRes)
+			}
+			if plain.rngSrc.n != hooked.rngSrc.n {
+				t.Errorf("rng draws differ with a progress hook: %d vs %d", plain.rngSrc.n, hooked.rngSrc.n)
+			}
+		})
 	}
 }

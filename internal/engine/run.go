@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync/atomic"
 	"time"
@@ -199,11 +200,30 @@ type detRun struct {
 
 	meter costMeter
 	prog  *progressNotifier
+	// interrupt caches cfg.Interrupt so the per-step poll is one pointer
+	// load instead of a value-receiver call that copies the whole config.
+	interrupt *atomic.Bool
 
 	lastAdapt int64
+	// steps counts pacing steps (one picked core, one chunk each).
+	steps int64
+
+	// Pacing bookkeeping, kept current so a step costs O(1) beyond the
+	// tick (DESIGN.md §10, "deterministic-host step cost"): live counts
+	// active cores; atGlobal counts active cores whose clock equals
+	// global; runnable holds, in core-index order, the active cores below
+	// ceiling = min(maxLocal, global+HostDriftCap); servedAt is the
+	// global time of the last manager service, and gq[:gqSortLen] the
+	// requests a skipped conservative service would have sorted.
+	live      int
+	atGlobal  int
+	ceiling   int64
+	runnable  []int
+	servedAt  int64
+	gqSortLen int
 
 	// Reused scratch buffers (hot-path allocation elimination).
-	runnable []int
+	p2pBuf   []int
 	drainBuf []event.Request
 
 	// Interval-sampling cursor (nil unless cfg.Sampling is set).
@@ -225,19 +245,28 @@ type detRun struct {
 // host and returns the results. The machine must be freshly built (a
 // machine cannot be reused across runs).
 func Run(m *Machine, cfg RunConfig) (Results, error) {
+	_, res, err := run(m, cfg)
+	return res, err
+}
+
+// run is Run, also returning the finished run state, so tests and
+// benchmarks can read what Results does not carry (the rng draw count,
+// pacing steps).
+func run(m *Machine, cfg RunConfig) (*detRun, Results, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
-		return Results{}, err
+		return nil, Results{}, err
 	}
 	src := newCountingSource(cfg.Seed)
 	r := &detRun{
-		m:       m,
-		cfg:     cfg,
-		rng:     rand.New(src),
-		rngSrc:  src,
-		retired: make([]bool, m.NumCores()),
-		bound:   cfg.Scheme.Bound,
-		prog:    newProgressNotifier(cfg),
+		m:         m,
+		cfg:       cfg,
+		rng:       rand.New(src),
+		rngSrc:    src,
+		retired:   make([]bool, m.NumCores()),
+		bound:     cfg.Scheme.Bound,
+		prog:      newProgressNotifier(cfg),
+		interrupt: cfg.Interrupt,
 	}
 	m.unc.SetTracer(cfg.Tracer)
 	setRecorders(m, cfg)
@@ -247,7 +276,7 @@ func Run(m *Machine, cfg RunConfig) (Results, error) {
 	if cfg.Scheme.Kind == Adaptive {
 		ctrl, err := adaptive.New(cfg.Scheme.Adaptive)
 		if err != nil {
-			return Results{}, err
+			return nil, Results{}, err
 		}
 		ctrl.SetPolicy(cfg.AdaptivePolicy)
 		r.ctrl = ctrl
@@ -276,11 +305,12 @@ func Run(m *Machine, cfg RunConfig) (Results, error) {
 			r.takeCheckpoint()
 		}
 	}
+	r.resync()
 	start := time.Now() //lint:allow determinism -- host wall-time feeds Results.HostDuration (a measurement), never simulated state
 	if err := r.loop(); err != nil {
-		return Results{}, err
+		return nil, Results{}, err
 	}
-	return r.results(time.Since(start)), nil //lint:allow determinism -- host wall-time feeds Results.HostDuration (a measurement), never simulated state
+	return r, r.results(time.Since(start)), nil //lint:allow determinism -- host wall-time feeds Results.HostDuration (a measurement), never simulated state
 }
 
 // MustRun is Run but panics on error.
@@ -333,39 +363,93 @@ func (r *detRun) done() bool {
 	if r.cfg.MaxInstructions > 0 && r.m.committed() >= r.cfg.MaxInstructions {
 		return true
 	}
-	for i := range r.retired {
-		if !r.retired[i] {
-			return false
-		}
-	}
-	return true
+	return r.live == 0
 }
 
-// recomputeGlobal sets global time to the minimum local time of active
-// cores (global never decreases except across a rollback restore).
-func (r *detRun) recomputeGlobal() {
-	min := int64(-1)
+// resync rebuilds the pacing bookkeeping from scratch after the clocks or
+// the retirement mask were overwritten wholesale (run start, rollback,
+// resume). It leaves global as it is: only the next step's recompute may
+// move it, exactly as when every step recomputed it.
+func (r *detRun) resync() {
+	r.live, r.atGlobal = 0, 0
 	for i, c := range r.m.cores {
 		if r.retired[i] {
 			continue
 		}
-		if min < 0 || c.Now() < min {
-			min = c.Now()
+		r.live++
+		if c.Now() == r.global {
+			r.atGlobal++
+		}
+	}
+	r.ceiling = math.MinInt64 // forces the next step to rebuild the runnable set
+	r.servedAt = -1
+	r.gqSortLen = 0
+}
+
+// recomputeGlobal sets global time to the minimum local time of active
+// cores (global never decreases except across a rollback restore) and
+// recounts the cores sitting at it.
+//
+//slacksim:hotpath
+func (r *detRun) recomputeGlobal() {
+	min, at := int64(-1), 0
+	for i, c := range r.m.cores {
+		if r.retired[i] {
+			continue
+		}
+		switch now := c.Now(); {
+		case min < 0 || now < min:
+			min, at = now, 1
+		case now == min:
+			at++
 		}
 	}
 	if min >= 0 {
 		r.global = min
 	}
+	r.atGlobal = at
+}
+
+// setCeiling moves the runnable set to a new clock ceiling. The ceiling
+// changes only when global, the scheme's wall or the mode moves — at most
+// once per global-time advance in the common case — so the rebuild
+// amortizes over the steps in between; in those steps only the picked
+// core can change membership, and the loop removes it (leave) when it
+// reaches the ceiling or retires.
+//
+//slacksim:hotpath
+func (r *detRun) setCeiling(ceiling int64) {
+	if ceiling == r.ceiling {
+		return
+	}
+	r.ceiling = ceiling
+	runnable := r.runnable[:0]
+	for i, c := range r.m.cores {
+		if !r.retired[i] && c.Now() < ceiling {
+			runnable = append(runnable, i)
+		}
+	}
+	r.runnable = runnable
+}
+
+// leave removes the core at position k from the runnable set, keeping
+// core-index order.
+//
+//slacksim:hotpath
+func (r *detRun) leave(k int) {
+	n := copy(r.runnable[k:], r.runnable[k+1:])
+	r.runnable = r.runnable[:k+n]
 }
 
 func (r *detRun) loop() error {
 	for !r.done() {
-		if r.cfg.interrupted() {
+		if r.interrupt != nil && r.interrupt.Load() {
 			return ErrInterrupted
 		}
 		ml := r.maxLocal()
-		pick := r.nextCore(ml)
-		if pick < 0 {
+		r.setCeiling(min(ml, r.global+r.cfg.HostDriftCap))
+		pos := r.nextCore()
+		if pos < 0 {
 			// Everyone is at the wall: either a checkpoint boundary or an
 			// inconsistency (global should always free the slowest core).
 			if r.nextCkpt > 0 && r.global == r.nextCkpt {
@@ -376,7 +460,10 @@ func (r *detRun) loop() error {
 			}
 			return fmt.Errorf("engine: no runnable core at global=%d maxLocal=%d", r.global, ml)
 		}
+		r.steps++
+		pick := r.runnable[pos]
 		c := r.m.cores[pick]
+		wasAtGlobal := c.Now() == r.global
 		budget := ml - c.Now()
 		chunk := int64(1)
 		if r.cfg.MaxChunk > 1 {
@@ -394,14 +481,39 @@ func (r *detRun) loop() error {
 		}
 		if c.Halted() {
 			r.retired[pick] = true
+			r.live--
+			r.leave(pos)
+		} else if c.Now() >= r.ceiling {
+			r.leave(pos)
 		}
 
 		r.drain(pick)
-		r.recomputeGlobal()
-		if err := r.service(); err != nil {
-			return err
+		// Every active core is at or above global, and only the picked
+		// core moved: global can move only when the last core sitting at
+		// it left (ticked away or retired).
+		if wasAtGlobal {
+			r.atGlobal--
 		}
-		r.prog.maybe(r.global, r.m.committed(), r.progressCounter())
+		if r.atGlobal == 0 {
+			r.recomputeGlobal()
+		}
+		// Conservative service serves TS < global, and a request drained
+		// since the last service has TS >= global (issued at or after its
+		// core's clock, which is never below global), so it serves nothing
+		// until global moves. Its one effect is the sort, which eager
+		// service observes after a switch out of CC mode: the skip records
+		// the prefix the sort would have covered instead.
+		if r.conservative() && r.global == r.servedAt {
+			r.gqSortLen = len(r.gq)
+		} else {
+			if err := r.service(); err != nil {
+				return err
+			}
+			r.servedAt = r.global
+		}
+		if r.prog != nil {
+			r.prog.maybe(r.global, r.m.committed(), r.progressCounter())
+		}
 		if r.samp != nil {
 			r.sampleStep()
 		}
@@ -412,7 +524,8 @@ func (r *detRun) loop() error {
 			continue
 		}
 		r.adapt()
-		if r.nextCkpt > 0 && r.global == r.nextCkpt && r.allAtBoundary() {
+		if r.nextCkpt > 0 && r.global == r.nextCkpt && r.atGlobal == r.live {
+			// Every active core sits at the boundary.
 			if err := r.atBoundary(); err != nil {
 				return err
 			}
@@ -425,28 +538,44 @@ func (r *detRun) loop() error {
 }
 
 // nextCore picks a uniformly random core among those below both the
-// scheme's wall and the host drift cap. Random picks make each core's
-// clock a random walk (the ordering jitter that causes violations); the
-// drift cap keeps the walk within what a real host's roughly-equal thread
-// speeds would allow. It returns -1 when no core can run at all.
-func (r *detRun) nextCore(ml int64) int {
-	cap := ml
-	if d := r.global + r.cfg.HostDriftCap; d < cap {
-		cap = d
-	}
-	runnable := r.runnable[:0]
-	for i, c := range r.m.cores {
-		if !r.retired[i] && c.Now() < cap && r.p2pClear(i) {
-			runnable = append(runnable, i)
+// scheme's wall and the host drift cap (the runnable set). Random picks
+// make each core's clock a random walk (the ordering jitter that causes
+// violations); the drift cap keeps the walk within what a real host's
+// roughly-equal thread speeds would allow. It returns -1 when no core can
+// run at all. The result is the pick's position in the runnable set.
+//
+//slacksim:hotpath
+func (r *detRun) nextCore() int {
+	if r.cfg.Scheme.Kind == LaxP2P {
+		cleared := r.p2pFilter()
+		if len(cleared) == 0 {
+			return -1
 		}
+		return cleared[r.rng.Intn(len(cleared))]
 	}
-	r.runnable = runnable
-	if len(runnable) == 0 {
+	if len(r.runnable) == 0 {
 		// The slowest active core always sits below global+drift, so this
 		// only happens at a scheme wall (checkpoint boundary or a bug).
 		return -1
 	}
-	return runnable[r.rng.Intn(len(runnable))]
+	return r.rng.Intn(len(r.runnable))
+}
+
+// p2pFilter runs the Lax-P2P gate of every runnable core in core-index
+// order — the gate draws partners and counts suspensions, so it must run
+// for exactly these cores in exactly this order — and returns the
+// runnable-set positions of the cores it clears.
+//
+//slacksim:hotpath
+func (r *detRun) p2pFilter() []int {
+	cleared := r.p2pBuf[:0]
+	for k, i := range r.runnable {
+		if r.p2pClear(i) {
+			cleared = append(cleared, k)
+		}
+	}
+	r.p2pBuf = cleared
+	return cleared
 }
 
 // p2pClear evaluates core i's Lax-P2P gate: away from a sync point it is
@@ -508,9 +637,14 @@ func (r *detRun) drainAll() {
 // conservatively in CC mode (timestamp order, only events that can no
 // longer be preceded).
 func (r *detRun) service() error {
+	sortLen := r.gqSortLen
+	r.gqSortLen = 0
 	if r.conservative() {
 		return r.serviceConservative(r.global)
 	}
+	// Requests left over from CC mode are served in the order its last
+	// (possibly skipped) sort left them in.
+	sortPending(r.gq[:sortLen])
 	for _, p := range r.gq {
 		r.serveOne(p.req)
 	}
@@ -579,17 +713,6 @@ func (r *detRun) adapt() {
 	}
 }
 
-// allAtBoundary reports whether every active core's clock equals the next
-// checkpoint boundary.
-func (r *detRun) allAtBoundary() bool {
-	for i, c := range r.m.cores {
-		if !r.retired[i] && c.Now() != r.nextCkpt {
-			return false
-		}
-	}
-	return true
-}
-
 // atBoundary handles a checkpoint boundary: quiesce the manager, either
 // roll back (if a selected violation fired during the elapsed interval)
 // or take a fresh global checkpoint, then advance the boundary.
@@ -608,7 +731,7 @@ func (r *detRun) atBoundary() error {
 	}
 	r.takeCheckpoint()
 	r.nextCkpt += r.cfg.CheckpointInterval
-	if r.cfg.snapshotRequested() {
+	if r.snapshotRequested() {
 		// The run is quiesced and checkpointed: export the state and stop.
 		state, err := r.exportSnapshot()
 		if err != nil {

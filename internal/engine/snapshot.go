@@ -61,8 +61,8 @@ func (s *countingSource) Seed(seed int64) {
 
 // snapshotRequested reports whether the run should export its state at
 // the next checkpoint boundary.
-func (cfg RunConfig) snapshotRequested() bool {
-	return cfg.SnapshotRequest != nil && cfg.SnapshotRequest.Load() && cfg.OnSnapshot != nil
+func (r *detRun) snapshotRequested() bool {
+	return r.cfg.SnapshotRequest != nil && r.cfg.SnapshotRequest.Load() && r.cfg.OnSnapshot != nil
 }
 
 // meterWire mirrors costMeter for serialization.
@@ -290,14 +290,15 @@ func Resume(m *Machine, cfg RunConfig, state []byte) (Results, error) {
 		src.Int63()
 	}
 	r := &detRun{
-		m:       m,
-		cfg:     cfg,
-		rng:     rand.New(src),
-		rngSrc:  src,
-		retired: append([]bool(nil), hdr.Retired...),
-		bound:   hdr.Bound,
-		ctrl:    ctrl,
-		prog:    newProgressNotifier(cfg),
+		m:         m,
+		cfg:       cfg,
+		rng:       rand.New(src),
+		rngSrc:    src,
+		retired:   append([]bool(nil), hdr.Retired...),
+		bound:     hdr.Bound,
+		ctrl:      ctrl,
+		prog:      newProgressNotifier(cfg),
+		interrupt: cfg.Interrupt,
 
 		global:  hdr.Global,
 		arrival: hdr.Arrival,
@@ -345,6 +346,7 @@ func Resume(m *Machine, cfg RunConfig, state []byte) (Results, error) {
 		}
 	}
 	r.cfg.Tracer.Addf(r.global, -1, trace.Checkpoint, "resumed from snapshot @%d", r.global)
+	r.resync()
 
 	start := time.Now() //lint:allow determinism -- host wall-time feeds Results.HostDuration (a measurement), never simulated state
 	if err := r.loop(); err != nil {

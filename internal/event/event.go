@@ -87,9 +87,15 @@ func (m Msg) String() string {
 // before the Push, which the slack protocols already tolerate; once a
 // Push completes (its mutex release and the pacing publication that
 // follows it), the counter is visible to every later reader.
+//
+// Only the consumer removes items, so the head item a consumer has seen
+// stays the head until that consumer pops it — unless Restore replaces
+// the contents. Restore bumps a generation counter so a consumer caching
+// facts about the head (see Gen) can tell its cache is stale.
 type Queue[T any] struct {
 	mu    sync.Mutex
 	size  atomic.Int64
+	gen   atomic.Uint64
 	items []T
 	head  int
 }
@@ -230,7 +236,8 @@ func (q *Queue[T]) SnapshotInto(buf []T) []T {
 	return append(buf[:0], q.items[q.head:]...)
 }
 
-// Restore replaces the queue contents, reusing the backing array.
+// Restore replaces the queue contents, reusing the backing array, and
+// bumps the generation (see Gen).
 //
 //slacksim:hotpath
 func (q *Queue[T]) Restore(items []T) {
@@ -239,5 +246,16 @@ func (q *Queue[T]) Restore(items []T) {
 	q.items = append(q.items[:0], items...)
 	q.head = 0
 	q.size.Store(int64(len(items)))
+	q.gen.Add(1)
 	q.mu.Unlock()
+}
+
+// Gen returns the restore generation: it changes whenever Restore
+// replaces the contents. A consumer that read the head under generation g
+// knows the head is unchanged while Gen still returns g and it has not
+// popped (a single atomic load).
+//
+//slacksim:hotpath
+func (q *Queue[T]) Gen() uint64 {
+	return q.gen.Load()
 }
