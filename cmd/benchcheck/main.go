@@ -10,6 +10,12 @@
 // loose by default and meant to catch structural regressions (a lock
 // back on the hot path), not scheduling jitter.
 //
+// Rows are matched by benchmark name with go test's GOMAXPROCS suffix
+// ("-2", "-4") stripped, so a baseline recorded on one CPU count still
+// gates a run on another. The gate fails when nothing matches at all or
+// when a baseline ceiling (below) finds no current row: a comparison
+// that compared nothing must not print OK.
+//
 // A baseline entry may additionally carry "max_allocs": an ABSOLUTE
 // allocs/op ceiling enforced on the current measurement regardless of
 // what the baseline itself measured. Ratio tolerances catch erosion
@@ -17,7 +23,7 @@
 // steady-state loop stays allocation-free") that must hold even across
 // a chain of small individually-tolerated regressions.
 //
-//	benchcheck -current /tmp/now.json                 # baseline auto-picked
+//	benchcheck -current /tmp/now.json                 # newest BENCH_PR<n>.json
 //	benchcheck -baseline BENCH_PR3.json -current /tmp/now.json
 //	benchcheck -current /tmp/now.json -ns-tol 2.0 -allocs-tol 1.05
 package main
@@ -28,7 +34,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
+	"strconv"
 )
 
 type benchFile struct {
@@ -58,6 +66,7 @@ func load(path string) (map[string]entry, error) {
 	}
 	m := make(map[string]entry, len(f.Results))
 	for _, e := range f.Results {
+		e.Name = procsSuffix.ReplaceAllString(e.Name, "")
 		m[e.Name] = e
 	}
 	if len(m) == 0 {
@@ -66,19 +75,39 @@ func load(path string) (map[string]entry, error) {
 	return m, nil
 }
 
-// latestBaseline picks the lexically last BENCH_*.json in dir — the
-// newest PR's baseline, given the BENCH_PR<n>.json naming convention.
+// procsSuffix is the "-N" GOMAXPROCS suffix go test appends to a
+// benchmark name when N > 1.
+var procsSuffix = regexp.MustCompile(`-[0-9]+$`)
+
+// baselineName matches the BENCH_PR<n>.json naming convention.
+var baselineName = regexp.MustCompile(`^BENCH_PR([0-9]+)\.json$`)
+
+// latestBaseline picks the BENCH_PR<n>.json in dir with the highest n:
+// the newest PR's baseline. The order is numeric, so BENCH_PR10 is newer
+// than BENCH_PR8.
 func latestBaseline(dir string) (string, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
-	if err != nil || len(matches) == 0 {
-		return "", fmt.Errorf("no BENCH_*.json baseline found in %s", dir)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return "", err
 	}
-	sort.Strings(matches)
-	return matches[len(matches)-1], nil
+	best, bestN := "", -1
+	for _, e := range entries {
+		m := baselineName.FindStringSubmatch(e.Name())
+		if m == nil {
+			continue
+		}
+		if n, err := strconv.Atoi(m[1]); err == nil && n > bestN {
+			best, bestN = e.Name(), n
+		}
+	}
+	if best == "" {
+		return "", fmt.Errorf("no BENCH_PR<n>.json baseline found in %s", dir)
+	}
+	return filepath.Join(dir, best), nil
 }
 
 func main() {
-	baseline := flag.String("baseline", "", "baseline JSON (default: lexically latest BENCH_*.json in -dir)")
+	baseline := flag.String("baseline", "", "baseline JSON (default: the BENCH_PR<n>.json with the highest n in -dir)")
 	current := flag.String("current", "", "freshly measured JSON to check (required)")
 	dir := flag.String("dir", ".", "directory searched for the default baseline")
 	nsTol := flag.Float64("ns-tol", 1.5, "max allowed current/baseline ratio for ns/op")
@@ -124,14 +153,18 @@ func main() {
 }
 
 // compare returns a per-benchmark report and the list of erosion
-// failures. Benchmarks present on only one side are reported but never
-// fatal: renames and new benchmarks must not break the gate.
+// failures. A benchmark present on only one side is reported but not
+// fatal by itself, so renames and new benchmarks do not break the gate.
+// Two gaps are fatal, because they leave the gate comparing nothing: no
+// name in common at all, and a baseline max_allocs ceiling with no
+// current row to hold to it.
 func compare(base, cur map[string]entry, nsTol, allocsTol float64) (report, failures []string) {
 	names := make([]string, 0, len(cur))
 	for name := range cur {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	matched := 0
 	for _, name := range names {
 		c := cur[name]
 		b, ok := base[name]
@@ -139,6 +172,7 @@ func compare(base, cur map[string]entry, nsTol, allocsTol float64) (report, fail
 			report = append(report, fmt.Sprintf("  %-60s new (no baseline)", name))
 			continue
 		}
+		matched++
 		line := fmt.Sprintf("  %-60s", name)
 		if r, bad := ratio(b.NsPerOp, c.NsPerOp, nsTol); r != "" {
 			line += " ns/op " + r
@@ -160,12 +194,19 @@ func compare(base, cur map[string]entry, nsTol, allocsTol float64) (report, fail
 		}
 		report = append(report, line)
 	}
-	for name := range base {
+	for name, b := range base {
 		if _, ok := cur[name]; !ok {
 			report = append(report, fmt.Sprintf("  %-60s dropped (baseline only)", name))
+			if b.MaxAllocs != nil {
+				failures = append(failures, fmt.Sprintf("%s carries a max_allocs ceiling of %.0f but has no current measurement", name, *b.MaxAllocs))
+			}
 		}
 	}
+	if matched == 0 {
+		failures = append(failures, "no benchmark name is common to the baseline and the current run: nothing was compared")
+	}
 	sort.Strings(report)
+	sort.Strings(failures)
 	return report, failures
 }
 

@@ -54,29 +54,42 @@ const resWindow = 128
 // reserve places a transaction of the given occupancy at the first
 // non-overlapping slot at or after ready in the reservation list, and
 // returns the start cycle plus whether the transaction was delayed.
+//
+// The list is sorted, so one pass in order reaches the first free slot:
+// a reservation s collides with [start, start+occupancy) only while
+// s < start+occupancy, pushing start past it can never create a
+// collision with an earlier s, and the first s at or beyond
+// start+occupancy ends the search. The pass starts at the first s that
+// can reach ready (s > ready-occupancy), found by binary search, and it
+// stops at the sorted insert position.
 func reserve(res *[]int64, ready, occupancy int64) (start int64, delayed bool) {
-	start = ready
-	moved := true
-	for moved {
-		moved = false
-		for _, s := range *res {
-			if start < s+occupancy && s < start+occupancy {
-				start = s + occupancy
-				moved = true
-			}
+	r := *res
+	lo, hi := 0, len(r)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r[mid] <= ready-occupancy {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	// Insert sorted; prune the oldest beyond the window.
-	r := *res
-	i := len(r)
-	for i > 0 && r[i-1] > start {
-		i--
+	start = ready
+	i := lo
+	for ; i < len(r) && r[i] < start+occupancy; i++ {
+		if start < r[i]+occupancy {
+			start = r[i] + occupancy
+		}
 	}
-	r = append(r, 0)
-	copy(r[i+1:], r[i:])
-	r[i] = start
-	if len(r) > resWindow {
-		r = r[1:]
+	// Insert at i; once the window is full, drop the oldest entry by
+	// shifting the prefix down, which keeps the backing array in place.
+	// (A full window inserting at 0 drops the new entry itself.)
+	if len(r) < resWindow {
+		r = append(r, 0)
+		copy(r[i+1:], r[i:])
+		r[i] = start
+	} else if i > 0 {
+		copy(r[:i-1], r[1:i])
+		r[i-1] = start
 	}
 	*res = r
 	return start, start != ready

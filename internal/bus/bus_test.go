@@ -1,6 +1,8 @@
 package bus
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -179,5 +181,82 @@ func TestQuickViolationIffRetrograde(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// reserveOracle is the original reserve: repeated full passes over the
+// list until start stops moving, then a sorted insert that trims the
+// oldest entry by reslicing.
+func reserveOracle(res *[]int64, ready, occupancy int64) (start int64, delayed bool) {
+	start = ready
+	moved := true
+	for moved {
+		moved = false
+		for _, s := range *res {
+			if start < s+occupancy && s < start+occupancy {
+				start = s + occupancy
+				moved = true
+			}
+		}
+	}
+	r := *res
+	i := len(r)
+	for i > 0 && r[i-1] > start {
+		i--
+	}
+	r = append(r, 0)
+	copy(r[i+1:], r[i:])
+	r[i] = start
+	if len(r) > resWindow {
+		r = r[1:]
+	}
+	*res = r
+	return start, start != ready
+}
+
+// TestReserveMatchesOracle runs reserve and the fixed-point oracle on the
+// same random sorted lists — with duplicates and overlapping entries the
+// bus itself never creates, full windows and single-slot gaps — and
+// requires identical starts, delays and resulting lists.
+func TestReserveMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 20000; trial++ {
+		occ := int64(1 + rng.Intn(4))
+		n := rng.Intn(resWindow + 1)
+		list := make([]int64, n)
+		at := int64(rng.Intn(50))
+		for i := range list {
+			at += int64(rng.Intn(int(2*occ) + 1))
+			list[i] = at
+		}
+		got, want := slices.Clone(list), slices.Clone(list)
+		for k := 0; k < 4; k++ {
+			ready := int64(rng.Intn(int(at) + 20))
+			gs, gd := reserve(&got, ready, occ)
+			ws, wd := reserveOracle(&want, ready, occ)
+			if gs != ws || gd != wd || !slices.Equal(got, want) {
+				t.Fatalf("trial %d: reserve(%v, ready=%d, occ=%d) = %d,%v -> %v; oracle %d,%v -> %v",
+					trial, list, ready, occ, gs, gd, got, ws, wd, want)
+			}
+		}
+	}
+}
+
+// TestReserveKeepsBackingArray checks that a full reservation window is
+// updated in place instead of being resliced toward reallocation.
+func TestReserveKeepsBackingArray(t *testing.T) {
+	b := New(1, 1)
+	for ts := int64(0); ts < resWindow; ts++ {
+		b.Grant(ts * 2)
+	}
+	base := &b.reqRes[0]
+	for ts := int64(resWindow); ts < 4*resWindow; ts++ {
+		b.Grant(ts * 2)
+		if &b.reqRes[0] != base || len(b.reqRes) != resWindow {
+			t.Fatalf("grant %d moved the reservation window (len %d)", ts, len(b.reqRes))
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { b.Grant(1 << 20) }); allocs != 0 {
+		t.Fatalf("Grant on a full window allocates %.0f times", allocs)
 	}
 }

@@ -151,6 +151,10 @@ type Core struct {
 
 	stats Stats
 
+	// sched is the scheduling state derived from the ROB window (see
+	// sched.go); not part of the snapshot.
+	sched
+
 	// freeList recycles robEntry allocations: dispatch pops from it and
 	// retire/flush/restore push onto it, so the steady-state pipeline
 	// allocates no entries at all. Safe because entries are referenced
@@ -200,6 +204,7 @@ func New(cfg Config, prog *isa.Program, m *mem.Memory, sc *syncctl.Controller,
 		pred:  NewPredictor(cfg.BimodalEntries),
 
 		serializeSeq: -1,
+		sched:        newSched(cfg.ROBSize),
 	}
 	for i := range c.mapTable {
 		c.mapTable[i] = -1
@@ -244,6 +249,7 @@ func (c *Core) Reset(prog *isa.Program) error {
 	c.rob = c.rob[:0]
 	c.robHead = 0
 	c.nextSeq = 0
+	c.rebuildSched()
 	c.fetchBuf = c.fetchBuf[:0]
 	c.fetchPC = 0
 	c.fetchStallUntil = 0
@@ -291,6 +297,17 @@ func (c *Core) robs() []*robEntry { return c.rob[c.robHead:] }
 //slacksim:hotpath
 func (c *Core) robLen() int { return len(c.rob) - c.robHead }
 
+// headSeq returns the seq at window offset 0: the oldest in-flight
+// entry's, or the next one to dispatch when the window is empty.
+//
+//slacksim:hotpath
+func (c *Core) headSeq() int {
+	if c.robHead < len(c.rob) {
+		return c.rob[c.robHead].seq
+	}
+	return c.nextSeq
+}
+
 // bySeq returns the in-flight entry with the given seq, or nil when that
 // seq has committed, been squashed, or never dispatched. Window seqs are
 // contiguous (see the rob field comment), so the lookup is bounds-checked
@@ -329,12 +346,34 @@ func (c *Core) sendReq(kind coherence.BusReq, lineAddr uint64) uint64 {
 
 // reads reports which source registers the instruction consumes in the
 // out-of-order back end (sync ops read their base register at commit,
-// architecturally, so they report none here).
+// architecturally, so they report none here). It depends on the opcode
+// alone and runs at dispatch and issue, so it is a table lookup.
 func reads(in isa.Inst) (useS1, useS2 bool) {
-	switch in.Op.Class() {
+	r := opReads[in.Op]
+	return r&1 != 0, r&2 != 0
+}
+
+// opReads holds readsOf for every Op value: bit 0 for Src1, bit 1 for
+// Src2.
+var opReads = func() (t [256]uint8) {
+	for i := range t {
+		s1, s2 := readsOf(isa.Op(i))
+		if s1 {
+			t[i] |= 1
+		}
+		if s2 {
+			t[i] |= 2
+		}
+	}
+	return t
+}()
+
+// readsOf computes reads for opcode op.
+func readsOf(op isa.Op) (useS1, useS2 bool) {
+	switch op.Class() {
 	case isa.ClassIntALU, isa.ClassIntMul, isa.ClassIntDiv,
 		isa.ClassFPAdd, isa.ClassFPMul, isa.ClassFPDiv:
-		switch in.Op {
+		switch op {
 		case isa.Lui:
 			return false, false
 		case isa.Addi, isa.Andi, isa.Ori, isa.Xori, isa.Shli, isa.Shri,
@@ -347,7 +386,7 @@ func reads(in isa.Inst) (useS1, useS2 bool) {
 	case isa.ClassStore:
 		return true, true
 	case isa.ClassBranch:
-		if in.Op == isa.Jmp {
+		if op == isa.Jmp {
 			return false, false
 		}
 		return true, true
@@ -366,23 +405,17 @@ func writesDest(in isa.Inst) bool {
 	return false
 }
 
-// operand resolves source i of e: the producer's result if it is still in
-// flight and done, the architectural register otherwise.
-func (c *Core) operand(e *robEntry, i int, reg isa.Reg) (val uint64, ready bool) {
-	p := e.srcProd[i]
-	if p < 0 {
-		return c.regs[reg], true
+// operand resolves source i of e, whose operands must be ready (e is in
+// rdy): the producer's result if it is still in flight, the architectural
+// register otherwise (a producer that committed after e dispatched left
+// its value in the register file).
+func (c *Core) operand(e *robEntry, i int, reg isa.Reg) uint64 {
+	if p := e.srcProd[i]; p >= 0 {
+		if pe := c.bySeq(p); pe != nil {
+			return pe.result
+		}
 	}
-	pe := c.bySeq(p)
-	if pe == nil {
-		// Producer committed after e dispatched; its value reached the
-		// architectural register file.
-		return c.regs[reg], true
-	}
-	if pe.state == stDone && pe.hasResult {
-		return pe.result, true
-	}
-	return 0, false
+	return c.regs[reg]
 }
 
 func (c *Core) String() string {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"slacksim/internal/cache"
 	"slacksim/internal/coherence"
@@ -27,7 +28,14 @@ func (c *Core) Tick() {
 	}
 	c.now++
 	c.stats.Cycles++
+	if afterTick != nil {
+		afterTick(c)
+	}
 }
+
+// afterTick, when set, runs at the end of every Tick. Only tests set it,
+// to check the derived scheduling state after each cycle of a full run.
+var afterTick func(*Core)
 
 // processInQ consumes manager messages whose effect time has been reached,
 // per the paper's InQ protocol (a core reads an entry out when its local
@@ -95,6 +103,9 @@ func (c *Core) applyReply(msg event.Msg) {
 		}
 		e.state = stDone
 		e.doneAt = c.now
+		if writesDest(e.inst) {
+			c.wake(e)
+		}
 	}
 }
 
@@ -270,16 +281,27 @@ func (c *Core) commitStore(e *robEntry) bool {
 	return true
 }
 
-// completeExec marks issued instructions whose latency elapsed as done and
-// resolves branches, flushing on mispredictions.
+// completeExec marks issued instructions whose latency elapsed as done,
+// wakes their consumers and resolves branches, flushing on
+// mispredictions. Nothing can be due before the nextDone watermark, so
+// until then the stage costs one comparison.
 func (c *Core) completeExec() {
-	rob := c.robs()
-	for i := 0; i < len(rob); i++ {
-		e := rob[i]
-		if e.state != stIssued || e.doneAt > c.now {
+	if c.now < c.nextDone {
+		return
+	}
+	next := int64(math.MaxInt64)
+	n, head := c.robLen(), c.headSeq()
+	for i := c.iss.next(head, 0, n); i < n; i = c.iss.next(head, i+1, n) {
+		e := c.rob[c.robHead+i]
+		if e.doneAt > c.now {
+			next = min(next, e.doneAt)
 			continue
 		}
 		e.state = stDone
+		c.iss.unset(e.seq)
+		if writesDest(e.inst) {
+			c.wake(e)
+		}
 		if e.inst.Op.IsBranch() && !e.resolved {
 			e.resolved = true
 			c.pred.Update(e.pc, e.actualTaken)
@@ -293,20 +315,23 @@ func (c *Core) completeExec() {
 				}
 				c.fetchPC = next
 				c.fetchStallUntil = c.now + int64(c.cfg.MispredictPenalty)
-				return
+				return // flushAfter rebuilt nextDone
 			}
 		}
 	}
+	c.nextDone = next
 }
 
 // flushAfter squashes every ROB entry younger than window index i and the
-// entire fetch buffer, then rebuilds the map table from the surviving
-// entries. nextSeq rewinds to just past the youngest survivor so window
-// seqs stay contiguous (the bySeq invariant). Reusing squashed seqs is
-// safe: the only external holders of seqs are MSHR waiter lists, and a
-// reused-seq entry waiting on the same line necessarily merged into the
-// same outstanding MSHR entry, so a wakeup through the stale seq is a
-// wakeup the entry was owed anyway (applyReply re-checks state and line).
+// entire fetch buffer, then rebuilds the map table and the scheduling
+// state from the surviving entries. nextSeq rewinds to just past the
+// youngest survivor so window seqs stay contiguous (the bySeq invariant);
+// the rebuild clears the squashed entries' bits before their seqs are
+// dispatched again. Reusing squashed seqs is safe: the only external
+// holders of seqs are MSHR waiter lists, and a reused-seq entry waiting
+// on the same line necessarily merged into the same outstanding MSHR
+// entry, so a wakeup through the stale seq is a wakeup the entry was owed
+// anyway (applyReply re-checks state and line).
 func (c *Core) flushAfter(i int) {
 	c.stats.Flushes++
 	w := c.robs()
@@ -329,33 +354,37 @@ func (c *Core) flushAfter(i int) {
 			c.mapTable[e.inst.Dst] = e.seq
 		}
 	}
+	c.rebuildSched()
 }
 
 // issue selects up to IssueWidth ready instructions, oldest first, reads
 // their operands and starts execution, modeling per-class functional-unit
-// limits.
+// limits. It visits only the rdy entries: the rest cannot issue this
+// cycle (sync/halt execute at commit).
 func (c *Core) issue() {
 	slots := c.cfg.IssueWidth
 	memPorts := c.cfg.MemPortsPerCycle
 	fpOps := c.cfg.FPopsPerCycle
 	divs := c.cfg.DivsPerCycle
-	rob := c.robs()
-	for i := 0; i < len(rob) && slots > 0; i++ {
-		e := rob[i]
-		if e.state != stDispatched {
-			continue
-		}
+	n, head := c.robLen(), c.headSeq()
+	for i := c.rdy.next(head, 0, n); i < n && slots > 0; i = c.rdy.next(head, i+1, n) {
+		e := c.rob[c.robHead+i]
 		cls := e.inst.Op.Class()
 		switch cls {
-		case isa.ClassSync, isa.ClassHalt, isa.ClassNop:
-			// Executed at commit (sync/halt) or trivially done (nop).
-			if cls == isa.ClassNop {
-				e.state = stDone
-				e.doneAt = c.now
-			}
+		case isa.ClassNop:
+			// Trivially done, without taking a slot.
+			e.state = stDone
+			e.doneAt = c.now
+			c.rdy.unset(e.seq)
 			continue
 		case isa.ClassLoad, isa.ClassStore:
 			if memPorts == 0 {
+				continue
+			}
+			// Disambiguation: a load waits while any older store's
+			// address is unknown. pst is read live, so a store issued
+			// earlier in this pass no longer blocks.
+			if cls == isa.ClassLoad && c.pst.next(head, 0, i) < i {
 				continue
 			}
 		case isa.ClassFPAdd, isa.ClassFPMul:
@@ -367,9 +396,16 @@ func (c *Core) issue() {
 				continue
 			}
 		}
-		issued := c.tryIssue(i, e)
-		if !issued {
+		if !c.tryIssue(i, e) {
 			continue
+		}
+		c.rdy.unset(e.seq)
+		if cls == isa.ClassStore {
+			c.pst.unset(e.seq)
+		}
+		if e.state == stIssued {
+			c.iss.set(e.seq)
+			c.nextDone = min(c.nextDone, e.doneAt)
 		}
 		slots--
 		switch cls {
@@ -383,23 +419,15 @@ func (c *Core) issue() {
 	}
 }
 
-// tryIssue attempts to begin execution of ROB entry e (at index idx).
+// tryIssue attempts to begin execution of rdy entry e (at index idx).
 func (c *Core) tryIssue(idx int, e *robEntry) bool {
 	useS1, useS2 := reads(e.inst)
 	var a, b uint64
 	if useS1 {
-		v, ok := c.operand(e, 0, e.inst.Src1)
-		if !ok {
-			return false
-		}
-		a = v
+		a = c.operand(e, 0, e.inst.Src1)
 	}
 	if useS2 {
-		v, ok := c.operand(e, 1, e.inst.Src2)
-		if !ok {
-			return false
-		}
-		b = v
+		b = c.operand(e, 1, e.inst.Src2)
 	}
 	switch e.inst.Op.Class() {
 	case isa.ClassBranch:
@@ -423,24 +451,18 @@ func (c *Core) tryIssue(idx int, e *robEntry) bool {
 	}
 }
 
-// issueLoad executes a load: memory disambiguation against older stores,
-// store-to-load forwarding, then L1D access with lock-up-free misses.
+// issueLoad executes a load: store-to-load forwarding, then L1D access
+// with lock-up-free misses. The caller has checked that every older
+// store's address is known (no older pst bit); the youngest older store
+// to the same word forwards its value.
 func (c *Core) issueLoad(idx int, e *robEntry, base uint64) bool {
 	addr := base + uint64(e.inst.Imm)
-	// Disambiguate: every older store must have a known address; the
-	// youngest older store to the same word forwards its value.
 	var fwd *robEntry
 	rob := c.robs()
-	for i := 0; i < idx; i++ {
-		s := rob[i]
-		if s.inst.Op != isa.Store {
-			continue
-		}
-		if !s.addrValid {
-			return false // conservative: wait for the address
-		}
-		if s.addr == addr {
+	for i := idx - 1; i >= 0; i-- {
+		if s := rob[i]; s.inst.Op == isa.Store && s.addr == addr {
 			fwd = s
+			break
 		}
 	}
 	e.addr = addr
@@ -528,6 +550,7 @@ func (c *Core) dispatch() {
 			c.serializeSeq = e.seq
 		}
 		c.rob = append(c.rob, e)
+		c.schedule(e)
 	}
 	if k > 0 {
 		c.fetchBuf = c.fetchBuf[:copy(c.fetchBuf, c.fetchBuf[k:])]

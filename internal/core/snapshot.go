@@ -95,7 +95,8 @@ func (c *Core) SnapshotInto(s *Snapshot) {
 
 // restoreScalars copies everything except the cache/MSHR/predictor
 // structures, recycling the live ROB entries through the freelist so a
-// restore allocates nothing once the pools are warm.
+// restore allocates nothing once the pools are warm, then rebuilds the
+// derived scheduling state from the restored window.
 //
 //slacksim:hotpath
 func (c *Core) restoreScalars(s *Snapshot) {
@@ -122,6 +123,7 @@ func (c *Core) restoreScalars(s *Snapshot) {
 		*e = s.rob[i]
 		c.rob = append(c.rob, e)
 	}
+	c.rebuildSched()
 	c.fetchBuf = append(c.fetchBuf[:0], s.fetchBuf...)
 }
 
