@@ -143,6 +143,9 @@ type Core struct {
 	// inQDue is msgDue bound once at construction, so the per-tick poll
 	// passes a predicate without building a closure.
 	inQDue func(event.Msg) bool
+	// quiet is the quiet-tick horizon (see quiet.go). Derived, like the
+	// InQ hold: never snapshotted, cleared by Reset and every restore.
+	quiet
 
 	// rec, when set, receives the in-order architectural retire stream
 	// (see recorder.go). Nil outside recording runs: one predictable
@@ -257,6 +260,7 @@ func (c *Core) Reset(prog *isa.Program) error {
 	c.halted = false
 	c.reqID = 0
 	c.inQHoldTS = 0
+	c.quiet = quiet{}
 	c.rec = nil
 	c.stats = Stats{}
 	return nil

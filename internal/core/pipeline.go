@@ -14,8 +14,28 @@ import (
 // manager, then the pipeline stages in reverse order so results flow with
 // realistic timing, then the local clock advances. A halted core still
 // ticks (idling) so the slack time protocol stays live until the engine
-// retires it.
+// retires it. A tick inside the quiet horizon (see quiet.go) only
+// advances the clock and its wait counter.
 func (c *Core) Tick() {
+	switch {
+	case c.now >= c.quietUntil || !c.stillQuiet():
+		c.step()
+	case quietOracle != nil:
+		quietOracle(c, c.step)
+	default:
+		c.quietTick()
+	}
+	if afterTick != nil {
+		afterTick(c)
+	}
+}
+
+// step is one cycle through every stage. It drops the quiet horizon (a
+// stale one would outlive whatever ended the wait) and, after a cycle
+// that committed and dispatched nothing, derives a new one.
+func (c *Core) step() {
+	c.quietUntil = 0
+	committed, seq := c.stats.Committed, c.nextSeq
 	c.processInQ()
 	if c.halted {
 		c.stats.IdleAfterEnd++
@@ -28,14 +48,19 @@ func (c *Core) Tick() {
 	}
 	c.now++
 	c.stats.Cycles++
-	if afterTick != nil {
-		afterTick(c)
+	if c.stats.Committed == committed && c.nextSeq == seq && !c.halted {
+		c.deriveQuiet()
 	}
 }
 
 // afterTick, when set, runs at the end of every Tick. Only tests set it,
 // to check the derived scheduling state after each cycle of a full run.
 var afterTick func(*Core)
+
+// quietOracle, when set, runs in place of every quiet tick, given the
+// full cycle to run instead. Only tests set it, to check that the full
+// stages change nothing a quiet tick would not.
+var quietOracle func(c *Core, step func())
 
 // processInQ consumes manager messages whose effect time has been reached,
 // per the paper's InQ protocol (a core reads an entry out when its local

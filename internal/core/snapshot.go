@@ -111,6 +111,7 @@ func (c *Core) restoreScalars(s *Snapshot) {
 	c.reqID = s.reqID
 	c.stats = s.stats
 	c.inQHoldTS = 0
+	c.quiet = quiet{}
 
 	for _, e := range c.robs() {
 		c.freeEntry(e)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 
+	"slacksim/internal/adaptive"
+	"slacksim/internal/synth"
 	"slacksim/internal/workload"
 )
 
@@ -53,8 +55,11 @@ func BenchmarkCheckpointRestore(b *testing.B) {
 }
 
 // BenchmarkDetStep measures the deterministic host's cost per simulated
-// core-cycle on two pinned specs: a speculative run (barnes at scale 2,
-// bounded slack 16, checkpoints every 500 cycles, rollback) and the
+// core-cycle on three pinned specs: a speculative run (barnes at scale 2,
+// bounded slack 16, checkpoints every 500 cycles, rollback), a lock-heavy
+// one shaped like the speculative benchmark workload (synthetic
+// migratory sharing at 256 ops, adaptive slack, checkpoints every 500
+// cycles, rollback), where most core-cycles are spent waiting, and the
 // cycle-by-cycle gold standard (fft). ns/core-cycle is host time per
 // ticked core-cycle, wasted and replayed cycles included; steps/core-cycle
 // is pacing steps (one picked core, one chunk) per core-cycle — CC takes a
@@ -62,22 +67,29 @@ func BenchmarkCheckpointRestore(b *testing.B) {
 // show whether the time goes into ticking cores or into the pacing
 // bookkeeping around each tick.
 func BenchmarkDetStep(b *testing.B) {
+	migratory := func() (Workload, error) {
+		return synth.New(synth.Config{Pattern: synth.PatternMigratory, Ops: 256, Seed: 1})
+	}
+	kernel := func(name string, scale int) func() (Workload, error) {
+		return func() (Workload, error) { return workload.ByName(name, scale) }
+	}
 	for _, tc := range []struct {
 		name     string
-		workload string
-		scale    int
+		workload func() (Workload, error)
 		cfg      RunConfig
 	}{
-		{"barnes-x2/s16/ckpt500/rollback", "barnes", 2,
+		{"barnes-x2/s16/ckpt500/rollback", kernel("barnes", 2),
 			RunConfig{Scheme: BoundedSlack(16), Seed: 1, CheckpointInterval: 500, Rollback: true}},
-		{"fft/cc", "fft", 1, RunConfig{Scheme: CycleByCycle(), Seed: 1}},
+		{"synth-migratory-256/adaptive/ckpt500/rollback", migratory,
+			RunConfig{Scheme: AdaptiveSlack(adaptive.DefaultConfig()), Seed: 1, CheckpointInterval: 500, Rollback: true}},
+		{"fft/cc", kernel("fft", 1), RunConfig{Scheme: CycleByCycle(), Seed: 1}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var cycles, steps int64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				w, err := workload.ByName(tc.workload, tc.scale)
+				w, err := tc.workload()
 				if err != nil {
 					b.Fatal(err)
 				}

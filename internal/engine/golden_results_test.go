@@ -118,7 +118,7 @@ func runGolden(t *testing.T, c goldenCase) goldenRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return goldenRun{Name: c.name, Draws: r.rngSrc.n, Results: blob}
+	return goldenRun{Name: c.name, Draws: r.rng.n, Results: blob}
 }
 
 // TestGoldenResultsMatrix pins the deterministic host's complete Results

@@ -204,8 +204,8 @@ func TestProgressHookInvariance(t *testing.T) {
 			if !reflect.DeepEqual(plainRes, hookedRes) {
 				t.Errorf("Results differ with a progress hook:\n nil  %+v\n hook %+v", plainRes, hookedRes)
 			}
-			if plain.rngSrc.n != hooked.rngSrc.n {
-				t.Errorf("rng draws differ with a progress hook: %d vs %d", plain.rngSrc.n, hooked.rngSrc.n)
+			if plain.rng.n != hooked.rng.n {
+				t.Errorf("rng draws differ with a progress hook: %d vs %d", plain.rng.n, hooked.rng.n)
 			}
 		})
 	}

@@ -3,7 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/bits"
 	"sync/atomic"
 	"time"
 
@@ -177,10 +177,9 @@ type pendingReq struct {
 type detRun struct {
 	m   *Machine
 	cfg RunConfig
-	rng *rand.Rand
-	// rngSrc is rng's underlying source; its draw count is part of the
-	// exported run state (Resume fast-forwards a fresh source to it).
-	rngSrc *countingSource
+	// rng drives the pacing picks; its draw count is part of the exported
+	// run state (Resume fast-forwards a fresh source to it).
+	rng *countingSource
 
 	ctrl  *adaptive.Controller
 	bound int64
@@ -211,14 +210,16 @@ type detRun struct {
 	// Pacing bookkeeping, kept current so a step costs O(1) beyond the
 	// tick (DESIGN.md §10, "deterministic-host step cost"): live counts
 	// active cores; atGlobal counts active cores whose clock equals
-	// global; runnable holds, in core-index order, the active cores below
-	// ceiling = min(maxLocal, global+HostDriftCap); servedAt is the
-	// global time of the last manager service, and gq[:gqSortLen] the
-	// requests a skipped conservative service would have sorted.
+	// global; runnable is a core-index bitmask (64 cores a word) of the
+	// active cores below ceiling = min(maxLocal, global+HostDriftCap),
+	// and nRunnable its population; servedAt is the global time of the
+	// last manager service, and gq[:gqSortLen] the requests a skipped
+	// conservative service would have sorted.
 	live      int
 	atGlobal  int
 	ceiling   int64
-	runnable  []int
+	runnable  []uint64
+	nRunnable int
 	servedAt  int64
 	gqSortLen int
 
@@ -257,13 +258,12 @@ func run(m *Machine, cfg RunConfig) (*detRun, Results, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, Results{}, err
 	}
-	src := newCountingSource(cfg.Seed)
 	r := &detRun{
 		m:         m,
 		cfg:       cfg,
-		rng:       rand.New(src),
-		rngSrc:    src,
+		rng:       newCountingSource(cfg.Seed),
 		retired:   make([]bool, m.NumCores()),
+		runnable:  make([]uint64, (m.NumCores()+63)/64),
 		bound:     cfg.Scheme.Bound,
 		prog:      newProgressNotifier(cfg),
 		interrupt: cfg.Interrupt,
@@ -423,23 +423,56 @@ func (r *detRun) setCeiling(ceiling int64) {
 		return
 	}
 	r.ceiling = ceiling
-	runnable := r.runnable[:0]
+	clear(r.runnable)
+	r.nRunnable = 0
 	for i, c := range r.m.cores {
 		if !r.retired[i] && c.Now() < ceiling {
-			runnable = append(runnable, i)
+			r.runnable[i>>6] |= 1 << uint(i&63)
+			r.nRunnable++
 		}
 	}
-	r.runnable = runnable
 }
 
-// leave removes the core at position k from the runnable set, keeping
-// core-index order.
+// leave removes core i from the runnable set.
 //
 //slacksim:hotpath
-func (r *detRun) leave(k int) {
-	n := copy(r.runnable[k:], r.runnable[k+1:])
-	r.runnable = r.runnable[:k+n]
+func (r *detRun) leave(i int) {
+	r.runnable[i>>6] &^= 1 << uint(i&63)
+	r.nRunnable--
 }
+
+// runnableAt returns the k-th runnable core in core-index order. It
+// walks the mask a byte at a time and finishes with a table lookup, so a
+// machine of up to eight cores picks without a data-dependent loop.
+//
+//slacksim:hotpath
+func (r *detRun) runnableAt(k int) int {
+	for wi, w := range r.runnable {
+		for i := wi << 6; w != 0; i, w = i+8, w>>8 {
+			b := uint8(w)
+			if n := bits.OnesCount8(b); k >= n {
+				k -= n
+				continue
+			}
+			return i + int(selectInByte[b][k])
+		}
+	}
+	panic("engine: runnable pick out of range")
+}
+
+// selectInByte[b][k] is the position of the k-th set bit of b.
+var selectInByte = func() (t [256][8]uint8) {
+	for b := range t {
+		k := 0
+		for i := 0; i < 8; i++ {
+			if b&(1<<i) != 0 {
+				t[b][k] = uint8(i)
+				k++
+			}
+		}
+	}
+	return t
+}()
 
 func (r *detRun) loop() error {
 	for !r.done() {
@@ -448,8 +481,8 @@ func (r *detRun) loop() error {
 		}
 		ml := r.maxLocal()
 		r.setCeiling(min(ml, r.global+r.cfg.HostDriftCap))
-		pos := r.nextCore()
-		if pos < 0 {
+		pick := r.nextCore()
+		if pick < 0 {
 			// Everyone is at the wall: either a checkpoint boundary or an
 			// inconsistency (global should always free the slowest core).
 			if r.nextCkpt > 0 && r.global == r.nextCkpt {
@@ -461,13 +494,12 @@ func (r *detRun) loop() error {
 			return fmt.Errorf("engine: no runnable core at global=%d maxLocal=%d", r.global, ml)
 		}
 		r.steps++
-		pick := r.runnable[pos]
 		c := r.m.cores[pick]
 		wasAtGlobal := c.Now() == r.global
 		budget := ml - c.Now()
 		chunk := int64(1)
 		if r.cfg.MaxChunk > 1 {
-			chunk += r.rng.Int63n(r.cfg.MaxChunk)
+			chunk += r.rng.int63n(r.cfg.MaxChunk)
 		}
 		if chunk > budget {
 			chunk = budget
@@ -482,9 +514,9 @@ func (r *detRun) loop() error {
 		if c.Halted() {
 			r.retired[pick] = true
 			r.live--
-			r.leave(pos)
+			r.leave(pick)
 		} else if c.Now() >= r.ceiling {
-			r.leave(pos)
+			r.leave(pick)
 		}
 
 		r.drain(pick)
@@ -542,7 +574,9 @@ func (r *detRun) loop() error {
 // make each core's clock a random walk (the ordering jitter that causes
 // violations); the drift cap keeps the walk within what a real host's
 // roughly-equal thread speeds would allow. It returns -1 when no core can
-// run at all. The result is the pick's position in the runnable set.
+// run at all. The pick is the k-th runnable core in core-index order for
+// a uniform k, so the draws map to the same cores as picking from an
+// index-ordered list.
 //
 //slacksim:hotpath
 func (r *detRun) nextCore() int {
@@ -551,27 +585,29 @@ func (r *detRun) nextCore() int {
 		if len(cleared) == 0 {
 			return -1
 		}
-		return cleared[r.rng.Intn(len(cleared))]
+		return cleared[r.rng.intn(len(cleared))]
 	}
-	if len(r.runnable) == 0 {
+	if r.nRunnable == 0 {
 		// The slowest active core always sits below global+drift, so this
 		// only happens at a scheme wall (checkpoint boundary or a bug).
 		return -1
 	}
-	return r.rng.Intn(len(r.runnable))
+	return r.runnableAt(r.rng.intn(r.nRunnable))
 }
 
 // p2pFilter runs the Lax-P2P gate of every runnable core in core-index
 // order — the gate draws partners and counts suspensions, so it must run
-// for exactly these cores in exactly this order — and returns the
-// runnable-set positions of the cores it clears.
+// for exactly these cores in exactly this order — and returns the cores
+// it clears, in core-index order.
 //
 //slacksim:hotpath
 func (r *detRun) p2pFilter() []int {
 	cleared := r.p2pBuf[:0]
-	for k, i := range r.runnable {
-		if r.p2pClear(i) {
-			cleared = append(cleared, k)
+	for wi, w := range r.runnable {
+		for ; w != 0; w &= w - 1 {
+			if i := wi<<6 | bits.TrailingZeros64(w); r.p2pClear(i) {
+				cleared = append(cleared, i)
+			}
 		}
 	}
 	r.p2pBuf = cleared
@@ -594,7 +630,7 @@ func (r *detRun) p2pClear(i int) bool {
 		return true
 	}
 	if r.p2pPartner[i] < 0 {
-		p := r.rng.Intn(r.m.NumCores() - 1)
+		p := r.rng.intn(r.m.NumCores() - 1)
 		if p >= i {
 			p++
 		}
@@ -616,10 +652,14 @@ func (r *detRun) p2pClear(i int) bool {
 
 // drain moves requests from core i's OutQ into the manager's global queue
 // (GQ), preserving arrival order. One DrainInto into a reused buffer
-// replaces the per-item Pop loop (one lock, zero allocations).
+// replaces the per-item Pop loop (one lock, zero allocations), and an
+// empty OutQ — most steps — costs one length check.
 //
 //slacksim:hotpath
 func (r *detRun) drain(i int) {
+	if r.m.outQs[i].Len() == 0 {
+		return
+	}
 	r.drainBuf = r.m.outQs[i].DrainInto(r.drainBuf[:0])
 	for _, req := range r.drainBuf {
 		r.arrival++

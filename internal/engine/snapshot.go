@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -31,33 +30,6 @@ var ErrSnapshotted = errors.New("engine: run snapshotted at checkpoint boundary"
 // EngineStateVersion versions the serialized engine state produced by
 // snapshot export (bump on any layout change; Resume rejects mismatches).
 const EngineStateVersion = 1
-
-// countingSource wraps a rand.Source and counts Int63 draws so a run's
-// RNG position can be exported and fast-forwarded on resume.
-//
-// It deliberately implements only rand.Source (not Source64): rand.Rand
-// falls back to Int63 for every method the engine uses (Int63n, Intn),
-// so the stream is identical to rand.New(rand.NewSource(seed)) — and
-// every draw is observable, which a Source64 would break (Uint64 would
-// bypass Int63).
-type countingSource struct {
-	src rand.Source
-	n   uint64
-}
-
-func newCountingSource(seed int64) *countingSource {
-	return &countingSource{src: rand.NewSource(seed)}
-}
-
-func (s *countingSource) Int63() int64 {
-	s.n++
-	return s.src.Int63()
-}
-
-func (s *countingSource) Seed(seed int64) {
-	s.src.Seed(seed)
-	s.n = 0
-}
 
 // snapshotRequested reports whether the run should export its state at
 // the next checkpoint boundary.
@@ -151,7 +123,7 @@ func (r *detRun) exportSnapshot() ([]byte, error) {
 		Ckpts:     r.ckpts,
 		CkptWords: r.ckptWords,
 
-		RNGDraws: r.rngSrc.n,
+		RNGDraws: r.rng.n,
 		HasCtrl:  r.ctrl != nil,
 	}
 	for _, p := range r.gq {
@@ -285,16 +257,16 @@ func Resume(m *Machine, cfg RunConfig, state []byte) (Results, error) {
 
 	// Rebuild the run state the way Run does, then overwrite the pacing
 	// scalars from the header.
-	src := newCountingSource(cfg.Seed)
+	rng := newCountingSource(cfg.Seed)
 	for i := uint64(0); i < hdr.RNGDraws; i++ {
-		src.Int63()
+		rng.int63()
 	}
 	r := &detRun{
 		m:         m,
 		cfg:       cfg,
-		rng:       rand.New(src),
-		rngSrc:    src,
+		rng:       rng,
 		retired:   append([]bool(nil), hdr.Retired...),
+		runnable:  make([]uint64, (m.NumCores()+63)/64),
 		bound:     hdr.Bound,
 		ctrl:      ctrl,
 		prog:      newProgressNotifier(cfg),

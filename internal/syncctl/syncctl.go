@@ -13,6 +13,7 @@ package syncctl
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Controller holds the functional state of every lock word and barrier.
@@ -35,6 +36,14 @@ type Controller struct {
 	// counts completed barrier generations.
 	Acquires, Releases, Contended uint64
 	BarrierEpisodes               uint64
+
+	// barrierReleases is the barrier release counter: it moves whenever a
+	// barrier wait could end, on every barrier release and on every Reset
+	// or Restore (which replace barrier state wholesale). A core parked at
+	// a barrier reads it without the lock (see BarrierReleases), so it is
+	// atomic: on the parallel host the releasing core runs on another
+	// goroutine. Not part of the functional state: never snapshotted.
+	barrierReleases atomic.Uint64
 }
 
 type lockState struct {
@@ -149,9 +158,19 @@ func (c *Controller) BarrierArrive(id int64, core int, now int64) (generation ui
 		clear(b.waiting)
 		b.releasedAt = now
 		c.BarrierEpisodes++
+		c.barrierReleases.Add(1)
 	}
 	return gen
 }
+
+// BarrierReleases returns the barrier release counter, which moves
+// whenever any barrier wait could end (a release, Reset or Restore). A
+// waiter that read it, then saw its barrier not passed, and later reads
+// the same count knows the barrier is still not passed without taking the
+// lock (a single atomic load).
+//
+//slacksim:hotpath
+func (c *Controller) BarrierReleases() uint64 { return c.barrierReleases.Load() }
 
 // BarrierPassed reports whether a core that arrived in the given
 // generation may proceed at simulated time now: the barrier must have
@@ -284,6 +303,7 @@ func (c *Controller) Reset() {
 	clear(c.locks)
 	clear(c.barriers)
 	c.Acquires, c.Releases, c.Contended, c.BarrierEpisodes = 0, 0, 0, 0
+	c.barrierReleases.Add(1)
 }
 
 // Restore overwrites the controller from a snapshot, reusing the live
@@ -325,4 +345,5 @@ func (c *Controller) Restore(snap *Controller) {
 	}
 	c.Acquires, c.Releases, c.Contended, c.BarrierEpisodes =
 		snap.Acquires, snap.Releases, snap.Contended, snap.BarrierEpisodes
+	c.barrierReleases.Add(1)
 }

@@ -187,3 +187,28 @@ func TestConcurrentLocking(t *testing.T) {
 		t.Errorf("locks leaked: %d", c.LocksHeld())
 	}
 }
+
+// TestBarrierReleaseCounter checks that the barrier release counter
+// moves on a barrier release, a Reset and a Restore, and on nothing
+// else: lock traffic and arrivals that do not release leave it alone.
+func TestBarrierReleaseCounter(t *testing.T) {
+	c := New(2)
+	moved := func(what string, want bool, op func()) {
+		t.Helper()
+		before := c.BarrierReleases()
+		op()
+		if got := c.BarrierReleases() != before; got != want {
+			t.Errorf("%s: counter moved = %v, want %v", what, got, want)
+		}
+	}
+	moved("TryLock", false, func() { c.TryLock(0x40, 0, 1) })
+	moved("contended TryLock", false, func() { c.TryLock(0x40, 1, 1) })
+	moved("Unlock", false, func() { c.Unlock(0x40, 0, 2) })
+	moved("non-releasing arrival", false, func() { c.BarrierArrive(7, 0, 3) })
+	moved("BarrierPassed", false, func() { c.BarrierPassed(7, 0, 4) })
+	snap := c.Snapshot()
+	moved("releasing arrival", true, func() { c.BarrierArrive(7, 1, 5) })
+	moved("SyncSnapshot", false, func() { c.SyncSnapshot(snap) })
+	moved("Restore", true, func() { c.Restore(snap) })
+	moved("Reset", true, func() { c.Reset() })
+}
